@@ -9,47 +9,56 @@
 //! allocation count by the event count, and pins the quotient against
 //! the pre-diet baseline.
 //!
-//! The counter is a relaxed atomic — the tests that use it are
-//! single-threaded over the measured region, so the count is exact
-//! there; outside it the number only ever moves up, which is the safe
-//! direction for a "strictly fewer than baseline" assertion.
+//! The count is kept per thread: each thread's allocations land in its
+//! own counter, and [`CountingAlloc::count`] reads the calling thread's.
+//! A test harness runs tests on parallel threads, and the allocator is
+//! global to the process, so a process-wide count would add every
+//! concurrently running test's allocations to the measured region.
 
 // The one sanctioned use of `unsafe` in this crate: `GlobalAlloc` is an
 // unsafe trait, and this impl delegates verbatim to `System`.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// A `#[global_allocator]` that delegates to [`System`] and counts
-/// allocation calls (`alloc` + `realloc`; frees are not counted — the
-/// diet is about how often we *ask* for memory).
-pub struct CountingAlloc {
-    allocs: AtomicU64,
+thread_local! {
+    // `const`-initialized and free of `Drop`, so reaching it from inside
+    // the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// A `#[global_allocator]` that delegates to [`System`] and counts each
+/// thread's allocation calls (`alloc` + `realloc`; frees are not counted
+/// — the diet is about how often we *ask* for memory).
+pub struct CountingAlloc;
+
 impl CountingAlloc {
-    /// A fresh counter at zero, usable in `static` position.
+    /// A fresh counter, usable in `static` position.
     #[must_use]
     pub const fn new() -> CountingAlloc {
-        CountingAlloc {
-            allocs: AtomicU64::new(0),
-        }
+        CountingAlloc
     }
 
-    /// Allocation calls observed so far.
+    /// Allocation calls the calling thread has made so far.
     #[must_use]
     pub fn allocations(&self) -> u64 {
-        self.allocs.load(Ordering::Relaxed)
+        ALLOCS.with(Cell::get)
     }
 
-    /// Allocation calls performed by `f`, measured as a before/after
-    /// difference on this counter.
+    /// Allocation calls performed by `f` on the calling thread, measured
+    /// as a before/after difference on its counter.
     pub fn count<T>(&self, f: impl FnOnce() -> T) -> (T, u64) {
         let before = self.allocations();
         let out = f();
         (out, self.allocations() - before)
     }
+}
+
+fn note_allocation() {
+    // A thread being torn down has no counter left; its allocations are
+    // not part of any measured region.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 impl Default for CountingAlloc {
@@ -62,7 +71,7 @@ impl Default for CountingAlloc {
 // the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -71,7 +80,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

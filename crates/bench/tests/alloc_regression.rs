@@ -19,8 +19,10 @@
 //! the run loop, and one-time construction (routing table, name interning)
 //! is allowed to allocate freely.
 //!
-//! The binary is otherwise single-threaded, so the before/after counter
-//! difference is exact for the measured region.
+//! The test harness runs both tests at once on separate threads; the
+//! counter is per thread, and each measured run stays on its test's
+//! thread, so the before/after difference is exact for the measured
+//! region.
 
 use psync_bench::alloc_count::CountingAlloc;
 use psync_bench::ring::{

@@ -177,6 +177,13 @@ pub enum StopReason {
 /// dirty, and the next refresh rebuilds them from the restored states —
 /// the all-dirty rebuild produces bit-identical candidate lists, so the
 /// resumed run is indistinguishable from an uninterrupted one.
+///
+/// While a checkpoint holds its prefix it shares the capturing engine's
+/// live arena, so that engine's next append copies the whole log. A
+/// caller that takes many checkpoints of one run (a ladder) should
+/// [detach](EngineCheckpoint::without_events) them and restore with
+/// [`Engine::restore_from_log`], which reads the prefix from a log of the
+/// same run instead.
 pub struct EngineCheckpoint<A: Action> {
     pub(crate) now: Time,
     pub(crate) timed_states: Vec<DynState>,
@@ -184,7 +191,9 @@ pub struct EngineCheckpoint<A: Action> {
     pub(crate) node_states: Vec<Vec<DynState>>,
     pub(crate) clock_states: Vec<ClockCheckpoint>,
     pub(crate) scheduler_state: SchedulerCheckpoint,
-    pub(crate) events: ArenaSnapshot<A>,
+    /// The captured prefix; `None` once detached.
+    pub(crate) events: Option<ArenaSnapshot<A>>,
+    pub(crate) event_count: usize,
     pub(crate) idle_advances: u32,
     pub(crate) horizon: Option<Time>,
 }
@@ -198,23 +207,43 @@ impl<A: Action> EngineCheckpoint<A> {
 
     /// The captured execution prefix (every event recorded before the
     /// checkpoint, oldest first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the events were detached.
     #[must_use]
     pub fn events(&self) -> &[TimedEvent<A>] {
-        self.events.events()
+        self.events_snapshot().events()
     }
 
     /// The captured prefix as an O(1) arena view, for callers that want to
-    /// share the storage onward (shrink-probe ladders, recorded runs).
+    /// share the storage onward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the events were detached.
     #[must_use]
     pub fn events_snapshot(&self) -> &ArenaSnapshot<A> {
-        &self.events
+        self.events
+            .as_ref()
+            .expect("checkpoint events were detached; restore with Engine::restore_from_log")
     }
 
     /// Number of events in the captured prefix — the checkpoint's position
-    /// in the run.
+    /// in the run. Kept when the events are detached.
     #[must_use]
     pub fn event_count(&self) -> usize {
-        self.events.len()
+        self.event_count
+    }
+
+    /// Drops the checkpoint's view of the event log, keeping only its
+    /// position. The capturing engine then owns its arena alone again and
+    /// keeps appending in place; restore the detached checkpoint with
+    /// [`Engine::restore_from_log`].
+    #[must_use]
+    pub fn without_events(mut self) -> Self {
+        self.events = None;
+        self
     }
 }
 
@@ -583,6 +612,13 @@ impl<A: Action> Engine<A> {
         self.events.events()
     }
 
+    /// An O(1) view of the events recorded so far. Like every snapshot,
+    /// it makes the engine's next append copy the log while it is alive.
+    #[must_use]
+    pub fn events_snapshot(&self) -> ArenaSnapshot<A> {
+        ArenaSnapshot::full(Arc::clone(&self.events))
+    }
+
     /// Extends (or sets) the horizon and continues the run — incremental
     /// driving for interactive exploration. The returned execution always
     /// contains *all* events since the start, so a sequence of
@@ -845,11 +881,12 @@ impl<A: Action> Engine<A> {
                 .collect(),
             clock_states: self.nodes.iter().map(|n| n.strategy.checkpoint()).collect(),
             scheduler_state: self.scheduler.checkpoint(),
-            events: ArenaSnapshot::full(Arc::clone(&self.events)),
+            events: Some(ArenaSnapshot::full(Arc::clone(&self.events))),
+            event_count: self.events.len(),
             idle_advances: self.idle_advances,
             horizon: self.horizon,
         };
-        let count = cp.events.len();
+        let count = cp.event_count;
         for obs in &mut self.observers {
             obs.on_checkpoint(count);
         }
@@ -874,8 +911,27 @@ impl<A: Action> Engine<A> {
     /// # Panics
     ///
     /// Panics if the checkpoint's shape (component counts) does not match
-    /// this engine.
+    /// this engine, or if its events were detached.
     pub fn restore(&mut self, checkpoint: &EngineCheckpoint<A>) {
+        self.restore_state(checkpoint, checkpoint.events_snapshot());
+    }
+
+    /// [`Engine::restore`] for a checkpoint whose events were detached
+    /// ([`EngineCheckpoint::without_events`]): the prefix is the first
+    /// [`EngineCheckpoint::event_count`] events of `log`, which must be a
+    /// log of the run that took the checkpoint (or of any run that agrees
+    /// with it that far). Restoring an attached checkpoint this way is
+    /// the same as [`Engine::restore`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`Engine::restore`], and if `log` is shorter than the
+    /// checkpoint's position.
+    pub fn restore_from_log(&mut self, checkpoint: &EngineCheckpoint<A>, log: &ArenaSnapshot<A>) {
+        self.restore_state(checkpoint, &log.prefix(checkpoint.event_count));
+    }
+
+    fn restore_state(&mut self, checkpoint: &EngineCheckpoint<A>, prefix: &ArenaSnapshot<A>) {
         assert_eq!(
             self.timed.len(),
             checkpoint.timed_states.len(),
@@ -904,10 +960,10 @@ impl<A: Action> Engine<A> {
             node.strategy.restore(&checkpoint.clock_states[n]);
         }
         self.scheduler.restore(&checkpoint.scheduler_state);
-        // Checkpoints taken by an engine always view their whole arena
-        // (appending past a live snapshot copy-on-writes), so this is an
-        // `Arc` clone; a proper prefix view materializes a truncated copy.
-        self.events = checkpoint.events.to_arena();
+        // A full view (an attached checkpoint, or a log that ends at the
+        // checkpoint) is an `Arc` clone; a proper prefix of a longer log
+        // materializes a truncated copy.
+        self.events = prefix.to_arena();
         self.idle_advances = checkpoint.idle_advances;
         self.horizon = checkpoint.horizon;
         // Derived caches — including the wake/deadline heaps, which hold
@@ -916,7 +972,7 @@ impl<A: Action> Engine<A> {
         // identical candidate lists and re-notes every hint.
         self.invalidate_caches();
         for obs in &mut self.observers {
-            obs.on_restore(checkpoint.events.events());
+            obs.on_restore(prefix.events());
         }
     }
 
@@ -2059,6 +2115,30 @@ mod tests {
         // The base engine is untouched by the probes.
         let base_done = base.run().unwrap();
         assert_eq!(base_done.execution, straight.execution);
+    }
+
+    /// A detached rung holds no view of the log, so a ladder of them
+    /// leaves the arena uniquely owned and every append stays in place;
+    /// an attached checkpoint makes the next append copy the log.
+    #[test]
+    fn detached_checkpoints_leave_the_arena_uniquely_owned() {
+        let mut engine = checkpoint_mix().build();
+        let mut ladder = Vec::new();
+        for k in (4..=40).step_by(4) {
+            let _ = engine.run_until_events(k).unwrap();
+            ladder.push(engine.checkpoint().without_events());
+            assert_eq!(Arc::strong_count(&engine.events), 1, "rung at {k}");
+            let storage = Arc::as_ptr(&engine.events);
+            let _ = engine.run_until_events(k + 1).unwrap();
+            assert_eq!(Arc::as_ptr(&engine.events), storage, "append after {k}");
+        }
+        assert_eq!(ladder.last().unwrap().event_count(), 40);
+
+        let attached = engine.checkpoint();
+        let storage = Arc::as_ptr(&engine.events);
+        let _ = engine.run_until_events(45).unwrap();
+        assert_ne!(Arc::as_ptr(&engine.events), storage);
+        assert_eq!(attached.event_count(), 41);
     }
 
     #[test]

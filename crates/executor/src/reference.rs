@@ -278,11 +278,14 @@ impl<A: Action> ReferenceEngine<A> {
                 .collect(),
             clock_states: self.nodes.iter().map(|n| n.strategy.checkpoint()).collect(),
             scheduler_state: self.scheduler.checkpoint(),
-            events: ArenaSnapshot::full(Arc::new(EventArena::from_events(self.events.clone()))),
+            events: Some(ArenaSnapshot::full(Arc::new(EventArena::from_events(
+                self.events.clone(),
+            )))),
+            event_count: self.events.len(),
             idle_advances: self.idle_advances,
             horizon: self.horizon,
         };
-        let count = cp.events.len();
+        let count = cp.event_count;
         for obs in &mut self.observers {
             obs.on_checkpoint(count);
         }
@@ -296,7 +299,7 @@ impl<A: Action> ReferenceEngine<A> {
     /// # Panics
     ///
     /// Panics if the checkpoint's shape (component counts) does not match
-    /// this engine.
+    /// this engine, or if its events were detached.
     pub fn restore(&mut self, checkpoint: &EngineCheckpoint<A>) {
         assert_eq!(
             self.timed.len(),
@@ -326,11 +329,11 @@ impl<A: Action> ReferenceEngine<A> {
             node.strategy.restore(&checkpoint.clock_states[n]);
         }
         self.scheduler.restore(&checkpoint.scheduler_state);
-        self.events = checkpoint.events.events().to_vec();
+        self.events = checkpoint.events().to_vec();
         self.idle_advances = checkpoint.idle_advances;
         self.horizon = checkpoint.horizon;
         for obs in &mut self.observers {
-            obs.on_restore(checkpoint.events.events());
+            obs.on_restore(checkpoint.events());
         }
     }
 

@@ -133,6 +133,49 @@ fn every_prefix_checkpoint_resumes_bit_identically() {
     }
 }
 
+/// A ladder of rungs with their events detached, restored from the
+/// recorded run's final log, continues bit-identically to a full
+/// checkpoint taken at the same index — events, stop reason, and the
+/// prefix the restored engine holds (which must be the log's prefix, not
+/// the whole log).
+#[test]
+fn detached_rungs_restored_from_the_log_match_full_checkpoints() {
+    for seed in SEEDS {
+        let straight = fleet_engine(seed).run().unwrap();
+        let n = straight.execution.len();
+
+        let mut recorder = fleet_engine(seed);
+        let mut rungs = Vec::new();
+        for k in 0..=n {
+            recorder.run_until_events(k).unwrap();
+            rungs.push(recorder.checkpoint().without_events());
+        }
+        let log = recorder.run().unwrap().execution.snapshot().clone();
+        assert_eq!(log.len(), n);
+
+        for rung in &rungs {
+            let k = rung.event_count();
+            let mut full = fleet_engine(seed);
+            full.run_until_events(k).unwrap();
+            let full_cp = full.checkpoint();
+
+            let mut from_log = fleet_engine(seed);
+            from_log.restore_from_log(rung, &log);
+            assert_eq!(
+                from_log.events(),
+                full_cp.events(),
+                "seed {seed}, index {k}: restored prefix"
+            );
+            let mut from_full = fleet_engine(seed);
+            from_full.restore(&full_cp);
+            let label = format!("seed {seed}, detached rung {k}");
+            let run = from_log.run().unwrap();
+            assert_same_run(&label, &run, &from_full.run().unwrap());
+            assert_same_run(&label, &run, &straight);
+        }
+    }
+}
+
 /// The same every-index sweep for the [`ReferenceEngine`] — its simpler
 /// scan loop shares the snapshot type and must honour the same contract.
 #[test]

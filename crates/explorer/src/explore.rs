@@ -189,8 +189,9 @@ pub struct CampaignReport {
     /// Coverage statistics.
     pub stats: CampaignStats,
     /// Observer metrics aggregated over the campaign's primary case runs
-    /// (shrink probes and checkpoint-recording runs are excluded, so the
-    /// totals stay a pure function of `cases` seeds).
+    /// (shrink probes and the re-drives that record a failing case's
+    /// checkpoint ladder are excluded, so the totals stay a pure function
+    /// of `cases` seeds and do not depend on the probe mode).
     pub metrics: MetricsSnapshot,
     /// Shrunk, replayable failures (empty on a clean campaign).
     pub failures: Vec<Failure>,

@@ -42,7 +42,7 @@ use crate::faults::seq_of;
 use crate::plan::{at_ns, ns, FaultEntry, FaultPlan};
 use crate::scenario::{
     build_heartbeat_with, finish_case, hb_shape, monitor_params, outcome_of, CaseOutcome, Judged,
-    ScenarioConfig, ScenarioKind,
+    ScenarioConfig, ScenarioKind, CASE_MAX_EVENTS,
 };
 
 /// Events between judge polls: the engine pauses every this many events
@@ -383,7 +383,7 @@ pub fn run_heartbeat_online(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -
     let oracles = heartbeat_stream_oracles(cfg, plan);
     let checks = oracles.len() as u64;
     let judge = OnlineJudge::new(oracles);
-    let mut built = build_heartbeat_with(cfg, plan, seed, Some(&judge));
+    let mut built = build_heartbeat_with(cfg, plan, seed, Some(&judge), CASE_MAX_EVENTS);
     let mut pause_at = ONLINE_CHUNK;
     let run = loop {
         match built.engine.run_until_events(pause_at) {

@@ -15,9 +15,17 @@
 //!
 //! The machinery, per failing case:
 //!
-//! * the **primary run** records a ladder of checkpoints as it executes
-//!   (stride `CHECKPOINT_STRIDE`, thinned beyond `MAX_CHECKPOINTS`,
-//!   plus a final rung at the natural stop);
+//! * the **primary run** is a plain case run, like every other case's:
+//!   clean cases never pay for resume sources. Only once a primary has
+//!   failed is its plan re-driven, without judging (the outcome is
+//!   already known), to record a ladder of checkpoints (stride
+//!   `CHECKPOINT_STRIDE`, thinned beyond `MAX_CHECKPOINTS`, plus a final
+//!   rung at the natural stop);
+//! * every rung stores its engine state with the events detached — only
+//!   its position. A rung that held a view of the engine's arena would
+//!   make the engine's next append copy the whole log, so a ladder would
+//!   cost O(n²/stride) event clones. A resumed probe instead takes its
+//!   prefix from the recorded run's final log;
 //! * every probe consults a bounded **pool** of recorded runs — the
 //!   primary plus recent probes — and resumes from whichever run offers
 //!   the deepest rung before its divergence. Sibling ddmin probes often
@@ -89,8 +97,9 @@ pub struct CampaignTelemetry {
     /// past its resume point. (Primary case runs are case executions,
     /// not shrink work, and are counted in the campaign stats instead.)
     pub shrink_events: u64,
-    /// Primary case runs that recorded a checkpoint ladder (every case
-    /// in checkpointed mode, none otherwise).
+    /// Re-drives of a failing primary's plan that recorded its checkpoint
+    /// ladder: one per failure shrunk with resumed probes, none for clean
+    /// cases or from-scratch shrinks.
     pub recording_runs: u64,
     /// Engine checkpoints captured across recorded runs and probes.
     pub checkpoints: u64,
@@ -120,9 +129,11 @@ pub(crate) struct ShrinkResult {
     pub(crate) probes: u64,
 }
 
-/// One rung of a checkpoint ladder: the engine snapshot plus the side
-/// counters the engine does not own (observer metrics live in the hub's
-/// registry, fault counters in the channel's shared cells).
+/// One rung of a checkpoint ladder: the engine snapshot (events
+/// detached — a rung is restored with the prefix of a recorded run's
+/// log) plus the side counters the engine does not own (observer metrics
+/// live in the hub's registry, fault counters in the channel's shared
+/// cells).
 struct CaseCheckpoint<A: Action> {
     engine: psync_executor::EngineCheckpoint<A>,
     metrics: psync_obs::MetricsSnapshot,
@@ -133,9 +144,9 @@ struct CaseCheckpoint<A: Action> {
 type DrivenRun<A> = (Result<Run<A>, String>, Vec<Rc<CaseCheckpoint<A>>>);
 
 /// A fully recorded run — plan, events, checkpoint ladder — usable as a
-/// resume source for later probes. Rungs are `Rc`-shared, and the event
-/// log is an [`ArenaSnapshot`] view of the engine's own arena: adopting
-/// a probe into the pool clones an `Arc`, never the events.
+/// resume source for later probes. Rungs are `Rc`-shared, and `events`
+/// is the engine's whole log, including the events before an engine
+/// error: every rung's prefix is read from it.
 struct RecordedRun<A: Action> {
     plan: FaultPlan,
     events: ArenaSnapshot<A>,
@@ -148,7 +159,7 @@ fn capture<A: Action>(
 ) -> Rc<CaseCheckpoint<A>> {
     telemetry.checkpoints += 1;
     Rc::new(CaseCheckpoint {
-        engine: built.engine.checkpoint(),
+        engine: built.engine.checkpoint().without_events(),
         metrics: built.hub.snapshot(),
         fault_values: built.fault_stats.iter().map(FaultStats::values).collect(),
     })
@@ -271,12 +282,6 @@ fn divergence_index<A: Action>(
     d
 }
 
-fn events_of<A: Action>(run: &Result<Run<A>, String>) -> ArenaSnapshot<A> {
-    run.as_ref()
-        .map(|r| r.execution.snapshot().clone())
-        .unwrap_or_default()
-}
-
 /// The cached ddmin driver shared by both probe modes: memoises every
 /// evaluated candidate, counts only cache misses as probes, and reads
 /// the final plan's outcome from the cache — no confirmation re-run.
@@ -315,33 +320,25 @@ fn shrink_with_cache(
     )
 }
 
-/// Runs one plan from scratch while recording its checkpoint ladder, and
-/// returns its judged outcome together with the recorded run. The
-/// outcome is bit-identical to [`run_case`] — checkpointing is
-/// read-only, and the observers are attached with checkpoint counters
-/// suppressed.
-fn run_recorded<A: Action>(
+/// Re-drives `plan`, whose outcome is already known, to record its
+/// checkpoint ladder — no judging. The engine run is bit-identical to the
+/// primary's: checkpointing is read-only, and the observers are attached
+/// with checkpoint counters suppressed.
+fn record_ladder<A: Action>(
     plan: &FaultPlan,
     telemetry: &mut CampaignTelemetry,
     build: &impl Fn(&FaultPlan) -> BuiltCase<A>,
-    judge: &impl Fn(&FaultPlan, &Result<Run<A>, String>) -> JudgeVerdicts,
-) -> (CaseOutcome, RecordedRun<A>) {
+) -> RecordedRun<A> {
     let mut built = build(plan);
     let first = capture(&mut built, telemetry);
-    let (run, mut cps) = drive(&mut built, 0, telemetry);
+    let (_, mut cps) = drive(&mut built, 0, telemetry);
     cps.insert(0, first);
-    let events = events_of(&run);
-    let violations = judge(plan, &run);
-    let recorded = outcome_of(finish_case(&built, violations, run));
     telemetry.recording_runs += 1;
-    (
-        recorded,
-        RecordedRun {
-            plan: plan.clone(),
-            events,
-            cps,
-        },
-    )
+    RecordedRun {
+        plan: plan.clone(),
+        events: built.engine.events_snapshot(),
+        cps,
+    }
 }
 
 /// Executes one candidate probe by resuming from the deepest checkpoint
@@ -375,55 +372,63 @@ fn probe_resumed<A: Action>(
 
     let mut built = build(candidate);
     let rung = &pool[bi].cps[ci];
-    built.engine.restore(&rung.engine);
+    built
+        .engine
+        .restore_from_log(&rung.engine, &pool[bi].events);
     built.hub.restore(&rung.metrics);
     for (stats, values) in built.fault_stats.iter().zip(&rung.fault_values) {
         stats.set_values(*values);
     }
 
     let (run, new_cps) = drive(&mut built, start, telemetry);
-    let final_events = events_of(&run);
-    telemetry.shrink_events += final_events.len().saturating_sub(start) as u64;
-    let ran_ok = run.is_ok();
+    let events = built.engine.events_snapshot();
+    telemetry.shrink_events += (events.len() - start) as u64;
+    // This probe's ladder: the shared prefix rungs plus its own. Its log
+    // agrees with the base's up to `start`, so it serves them all.
+    let mut cps = pool[bi].cps[..=ci].to_vec();
+    cps.extend(new_cps);
     let violations = judge(candidate, &run);
     let outcome = outcome_of(finish_case(&built, violations, run));
-    if ran_ok {
-        // This probe's ladder: the shared prefix rungs plus its own.
-        let mut cps = pool[bi].cps[..=ci].to_vec();
-        cps.extend(new_cps);
-        if pool.len() >= POOL_MAX {
-            // Keep the primary run at slot 0; evict the oldest probe.
-            pool.remove(1);
-        }
-        pool.push(RecordedRun {
-            plan: candidate.clone(),
-            events: final_events,
-            cps,
-        });
+    if pool.len() >= POOL_MAX {
+        // Keep the primary run at slot 0; evict the oldest probe.
+        pool.remove(1);
     }
+    pool.push(RecordedRun {
+        plan: candidate.clone(),
+        events,
+        cps,
+    });
     outcome
 }
 
-/// Runs the primary case and, when it fails, shrinks it — with the
-/// checkpointed probe strategy, seeding the resume pool with the primary
-/// run itself.
-fn run_and_shrink<A: Action>(
+/// Shrinks a failing primary with resumed probes, seeding the pool with
+/// the primary's recorded ladder.
+fn shrink_resumed<A: Action>(
     plan: &FaultPlan,
+    primary: &CaseOutcome,
     telemetry: &mut CampaignTelemetry,
     build: &impl Fn(&FaultPlan) -> BuiltCase<A>,
     judge: &impl Fn(&FaultPlan, &Result<Run<A>, String>) -> JudgeVerdicts,
     activation: &impl Fn(&FaultEntry, &[TimedEvent<A>]) -> usize,
-) -> (CaseOutcome, Option<ShrinkResult>) {
-    let (outcome, recorded) = run_recorded(plan, telemetry, build, judge);
-    if outcome.violations.is_empty() {
-        return (outcome, None);
-    }
-    let mut pool = vec![recorded];
-    let (result, hits) = shrink_with_cache(plan, &outcome, &mut |candidate| {
+) -> (ShrinkResult, u64) {
+    let mut pool = vec![record_ladder(plan, telemetry, build)];
+    shrink_with_cache(plan, primary, &mut |candidate| {
         probe_resumed(&mut pool, candidate, telemetry, build, judge, activation)
-    });
-    telemetry.cache_hits += hits;
-    (outcome, Some(result))
+    })
+}
+
+/// Shrinks a failing primary by running every probe from scratch.
+fn shrink_from_scratch(
+    plan: &FaultPlan,
+    primary: &CaseOutcome,
+    telemetry: &mut CampaignTelemetry,
+    run: &impl Fn(&FaultPlan) -> CaseOutcome,
+) -> (ShrinkResult, u64) {
+    shrink_with_cache(plan, primary, &mut |candidate| {
+        let probe = run(candidate);
+        telemetry.shrink_events += probe.events as u64;
+        probe
+    })
 }
 
 /// Runs one case and shrinks it if it fails, using the cached ddmin
@@ -445,22 +450,18 @@ pub(crate) fn run_shrinkable_case(
     // resumed probe needs are never recorded — online cases (and their
     // probes) always run from scratch, with the same online judge so the
     // shrink predicate is self-consistent.
-    if online && scenario.kind.is_heartbeat() && scenario.kind != ScenarioKind::HeartbeatRestart {
-        let outcome =
-            run_case_online(scenario, plan, seed).expect("kind checked online-capable above");
-        if outcome.violations.is_empty() {
-            return (outcome, None);
+    let online =
+        online && scenario.kind.is_heartbeat() && scenario.kind != ScenarioKind::HeartbeatRestart;
+    let run = |p: &FaultPlan| {
+        if online {
+            run_case_online(scenario, p, seed).expect("kind checked online-capable above")
+        } else {
+            run_case_sharded(scenario, p, seed, shards)
         }
-        let mut shrink_events = 0u64;
-        let (result, hits) = shrink_with_cache(plan, &outcome, &mut |candidate| {
-            let probe = run_case_online(scenario, candidate, seed)
-                .expect("kind checked online-capable above");
-            shrink_events += probe.events as u64;
-            probe
-        });
-        telemetry.shrink_events += shrink_events;
-        telemetry.cache_hits += hits;
-        return (outcome, Some(result));
+    };
+    let outcome = run(plan);
+    if outcome.violations.is_empty() {
+        return (outcome, None);
     }
     // The restart scenario already checkpoints and restores *inside* its
     // primary run; layering probe-resume checkpoints over that seam is
@@ -469,76 +470,66 @@ pub(crate) fn run_shrinkable_case(
     // outside the engine, so a pooled-checkpoint resume would need its
     // own gauge bookkeeping for no measurable probe savings (sync plans
     // are channel-only and activate early).
-    let from_scratch =
-        !checkpointed || scenario.kind == ScenarioKind::HeartbeatRestart || scenario.kind.is_sync();
-    if from_scratch {
-        let outcome = run_case_sharded(scenario, plan, seed, shards);
-        if outcome.violations.is_empty() {
-            return (outcome, None);
-        }
-        let mut shrink_events = 0u64;
-        let (result, hits) = shrink_with_cache(plan, &outcome, &mut |candidate| {
-            let probe = run_case_sharded(scenario, candidate, seed, shards);
-            shrink_events += probe.events as u64;
-            probe
-        });
-        telemetry.shrink_events += shrink_events;
-        telemetry.cache_hits += hits;
-        return (outcome, Some(result));
-    }
-    match scenario.kind {
-        ScenarioKind::HeartbeatRestart => unreachable!("restart shrinks replay from scratch"),
-        ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
-            unreachable!("sync shrinks replay from scratch")
+    let (result, hits) = match scenario.kind {
+        _ if !checkpointed || online => shrink_from_scratch(plan, &outcome, telemetry, &run),
+        ScenarioKind::HeartbeatRestart | ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
+            shrink_from_scratch(plan, &outcome, telemetry, &run)
         }
         ScenarioKind::Heartbeat
         | ScenarioKind::HeartbeatCrash
         | ScenarioKind::HeartbeatGray
         | ScenarioKind::HeartbeatBidi
         | ScenarioKind::Relay
-        | ScenarioKind::Partition => run_and_shrink(
+        | ScenarioKind::Partition => shrink_resumed(
             plan,
+            &outcome,
             telemetry,
             &|p| build_heartbeat(scenario, p, seed),
             &|p, run| judge_heartbeat(scenario, p, run, shards),
             &heartbeat_activation,
         ),
-        ScenarioKind::ClockFleet | ScenarioKind::ClockFleetLarge => run_and_shrink(
+        ScenarioKind::ClockFleet | ScenarioKind::ClockFleetLarge => shrink_resumed(
             plan,
+            &outcome,
             telemetry,
             &|p| build_clockfleet(scenario, p, seed),
             &|_p, run| judge_clockfleet(scenario, run, shards),
             &clock_activation,
         ),
-        ScenarioKind::Mutex | ScenarioKind::MutexContended => run_and_shrink(
+        ScenarioKind::Mutex | ScenarioKind::MutexContended => shrink_resumed(
             plan,
+            &outcome,
             telemetry,
             &|p| build_mutex(scenario, p, seed),
             &|_p, run| judge_mutex(scenario, run, shards),
             &clock_activation,
         ),
-        ScenarioKind::Register | ScenarioKind::RegisterTriple => run_and_shrink(
+        ScenarioKind::Register | ScenarioKind::RegisterTriple => shrink_resumed(
             plan,
+            &outcome,
             telemetry,
             &|p| build_register(scenario, p, seed),
             &|_p, run| judge_register(scenario, seed, run, shards),
             &clock_activation,
         ),
-        ScenarioKind::Counter => run_and_shrink(
+        ScenarioKind::Counter => shrink_resumed(
             plan,
+            &outcome,
             telemetry,
             &|p| build_counter(scenario, p, seed),
             &|_p, run| judge_counter(scenario, seed, run, shards),
             &clock_activation,
         ),
-    }
+    };
+    telemetry.cache_hits += hits;
+    (outcome, Some(result))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::FaultPlan;
-    use crate::scenario::run_case;
+    use crate::scenario::{build_heartbeat_with, run_case};
 
     fn outcome(violations: Vec<(String, String)>, events: usize) -> CaseOutcome {
         CaseOutcome {
@@ -614,14 +605,14 @@ mod tests {
         assert_eq!(result.probes, 1);
     }
 
-    /// Records `plan`'s primary run, then checks that a pool-resumed
-    /// probe of every leave-one-out sub-plan (plus the full and empty
-    /// plans) produces a [`CaseOutcome`] bit-identical — violations,
-    /// event count, fingerprint, metrics — to a from-scratch run.
+    /// Records `plan`'s ladder, then checks that a pool-resumed probe of
+    /// every leave-one-out sub-plan (plus the full and empty plans)
+    /// produces a [`CaseOutcome`] bit-identical — violations, event
+    /// count, fingerprint, metrics — to a from-scratch run.
     fn assert_probes_match_straight_runs<A: Action>(
         scenario: &ScenarioConfig,
         plan: &FaultPlan,
-        seed: u64,
+        straight: &impl Fn(&FaultPlan) -> CaseOutcome,
         build: &impl Fn(&FaultPlan) -> BuiltCase<A>,
         judge: &impl Fn(&FaultPlan, &Result<Run<A>, String>) -> JudgeVerdicts,
         activation: &impl Fn(&FaultEntry, &[TimedEvent<A>]) -> usize,
@@ -629,11 +620,13 @@ mod tests {
         plan.validate(&scenario.envelope())
             .expect("admissible plan");
         let mut telemetry = CampaignTelemetry::default();
-        let primary = run_case(scenario, plan, seed);
-        let (recorded_outcome, recorded) = run_recorded(plan, &mut telemetry, build, judge);
-        assert_eq!(recorded_outcome, primary, "recording run != straight run");
+        let mut pool = vec![record_ladder(plan, &mut telemetry, build)];
+        assert_eq!(telemetry.recording_runs, 1);
+        assert!(
+            telemetry.checkpoints > 0,
+            "the recording run captured nothing"
+        );
 
-        let mut pool = vec![recorded];
         let mut candidates = vec![plan.clone(), FaultPlan::empty()];
         for i in 0..plan.entries.len() {
             let mut entries = plan.entries.clone();
@@ -649,16 +642,12 @@ mod tests {
                 judge,
                 activation,
             );
-            let straight = run_case(scenario, &candidate, seed);
             assert_eq!(
-                resumed, straight,
+                resumed,
+                straight(&candidate),
                 "resumed probe diverged for candidate {candidate:?}"
             );
         }
-        assert!(
-            telemetry.checkpoints > 0,
-            "the primary run recorded nothing"
-        );
         assert!(pool.len() > 1, "probe runs never joined the resume pool");
     }
 
@@ -690,7 +679,7 @@ mod tests {
         assert_probes_match_straight_runs(
             &scenario,
             &plan,
-            0xD15C_0B01,
+            &|p| run_case(&scenario, p, 0xD15C_0B01),
             &|p| build_heartbeat(&scenario, p, 0xD15C_0B01),
             &|p, run| judge_heartbeat(&scenario, p, run, 1),
             &heartbeat_activation,
@@ -722,7 +711,7 @@ mod tests {
         assert_probes_match_straight_runs(
             &scenario,
             &plan,
-            42,
+            &|p| run_case(&scenario, p, 42),
             &|p| build_heartbeat(&scenario, p, 42),
             &|p, run| judge_heartbeat(&scenario, p, run, 1),
             &heartbeat_activation,
@@ -752,7 +741,7 @@ mod tests {
         assert_probes_match_straight_runs(
             &scenario,
             &plan,
-            13,
+            &|p| run_case(&scenario, p, 13),
             &|p| build_clockfleet(&scenario, p, 13),
             &|_p, run| judge_clockfleet(&scenario, run, 1),
             &clock_activation,
@@ -781,10 +770,57 @@ mod tests {
         assert_probes_match_straight_runs(
             &scenario,
             &plan,
-            7,
+            &|p| run_case(&scenario, p, 7),
             &|p| build_register(&scenario, p, 7),
             &|_p, run| judge_register(&scenario, 7, run, 1),
             &clock_activation,
+        );
+    }
+
+    /// An engine error ends the recorded run early. Its activation
+    /// lookups must still see the events recorded before the error: with
+    /// no events every entry looks never-consulted, and a probe resumes
+    /// from the deepest rung, past its real divergence.
+    #[test]
+    fn errored_primary_probes_are_bit_identical_to_straight_runs() {
+        // The heartbeat case records ~60 events; the cap stops it at 40.
+        const CAP: usize = 40;
+        const SEED: u64 = 0xE770;
+        let scenario = ScenarioConfig::heartbeat_default();
+        let build = |p: &FaultPlan| build_heartbeat_with(&scenario, p, SEED, None, CAP);
+        let judge = |p: &FaultPlan, run: &Result<Run<FdAction>, String>| {
+            judge_heartbeat(&scenario, p, run, 1)
+        };
+        let straight = |p: &FaultPlan| {
+            let mut built = build(p);
+            let run = built.engine.run().map_err(|e| e.to_string());
+            let verdicts = judge(p, &run);
+            outcome_of(finish_case(&built, verdicts, run))
+        };
+        let plan = FaultPlan {
+            entries: vec![
+                FaultEntry::Drop {
+                    src: 0,
+                    dst: 1,
+                    seq: 2,
+                },
+                FaultEntry::DelaySpike {
+                    src: 0,
+                    dst: 1,
+                    seq: 4,
+                    delay_ns: 3_000_000,
+                },
+            ],
+        };
+        let primary = straight(&plan);
+        assert_eq!(primary.violations[0].0, "engine", "{primary:?}");
+        assert_probes_match_straight_runs(
+            &scenario,
+            &plan,
+            &straight,
+            &build,
+            &judge,
+            &heartbeat_activation,
         );
     }
 

@@ -651,7 +651,7 @@ pub fn fingerprint<A: Action>(exec: &Execution<A>) -> u64 {
     h
 }
 
-const CASE_MAX_EVENTS: usize = 250_000;
+pub(crate) const CASE_MAX_EVENTS: usize = 250_000;
 
 /// A judge's result: the oracle verdicts plus the deterministic judging
 /// metrics (`monitor.checks`, `monitor.violations`) that
@@ -976,18 +976,20 @@ pub(crate) fn build_heartbeat(
     plan: &FaultPlan,
     seed: u64,
 ) -> BuiltCase<FdAction> {
-    build_heartbeat_with(cfg, plan, seed, None)
+    build_heartbeat_with(cfg, plan, seed, None, CASE_MAX_EVENTS)
 }
 
 /// [`build_heartbeat`], optionally attaching an [`OnlineJudge`]'s
-/// observer so stream oracles see every event as it is recorded. The
-/// judge observer is read-only like every other observer: attaching it
-/// never changes the produced execution.
+/// observer so stream oracles see every event as it is recorded, with an
+/// explicit event cap (campaign cases use `CASE_MAX_EVENTS`). The judge
+/// observer is read-only like every other observer: attaching it never
+/// changes the produced execution.
 pub(crate) fn build_heartbeat_with(
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
     seed: u64,
     online: Option<&OnlineJudge<FdAction>>,
+    max_events: usize,
 ) -> BuiltCase<FdAction> {
     let shape = hb_shape(cfg.kind);
     let declared = cfg.bounds();
@@ -1057,7 +1059,7 @@ pub(crate) fn build_heartbeat_with(
     let engine = builder
         .scheduler(BiasedScheduler::new(plan, seed))
         .horizon(at_ns(cfg.horizon_ns))
-        .max_events(CASE_MAX_EVENTS)
+        .max_events(max_events)
         .build();
     BuiltCase {
         engine,
